@@ -4,9 +4,10 @@ Workload: the service-macro pattern — one sparsity pattern (block-diagonal
 union of dense SPD tenants) with a new diagonal shift per request, so
 after the first request every one lands on the **refactor** tier:
 ``update_values`` + ``factorize`` + triangular solves.  That tier is
-exactly what ``plan_mode="on"`` accelerates — warm runs execute the
-recorded kernel streams directly instead of replaying the task graph
-through the discrete-event simulator.
+exactly what compiled plans accelerate — warm runs execute the recorded
+kernel streams directly instead of replaying the task graph through the
+discrete-event simulator.  The DES baseline is the test-side oracle
+(:func:`tests.des_oracle.des_oracle`), which keeps replaying the graph.
 
 Two measurements, both into ``benchmarks/perf/BENCH_plans.json``:
 
@@ -14,11 +15,15 @@ Two measurements, both into ``benchmarks/perf/BENCH_plans.json``:
   solver, DES graph replay vs compiled plan.  This is the phase the plan
   subsystem owns, and carries the hard speedup gate (>= 3x full mode).
 * **service end-to-end** — the full stack (queue, keys, value update,
-  solves, residuals) run twice with identical requests, ``plan_mode``
-  off vs on, one worker for deterministic order.  Every solution must be
+  solves, residuals) run twice with identical requests, the DES oracle
+  vs the default solver as ``solver_cls``, one worker for deterministic
+  order.  Every solution must be
   **bit-identical** between the two runs (the CI divergence gate), and
   warm plan requests must beat warm DES requests outright (quick-mode
   gate) even though untouched phases dilute the ratio.
+
+The record carries a ``host`` block (usable CPUs, BLAS threads, library
+versions, git sha) so every number names the machine it ran on.
 """
 
 import json
@@ -29,9 +34,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from perfbench.run import host_block
 from repro import ServiceConfig, SolveService, SolverOptions
 from repro.core.solver import SymPackSolver
 from repro.sparse import SymmetricCSC
+from tests.des_oracle import des_oracle
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 RESULTS_PATH = Path(__file__).parent / "BENCH_plans.json"
@@ -42,11 +49,8 @@ MIN_REFACTOR_SPEEDUP = 1.5 if QUICK else 3.0
 # End-to-end warm requests still pay untouched phases (queueing, value
 # rescatter, solves, residual checks); the plan path must simply win.
 MIN_E2E_SPEEDUP = 1.0 if QUICK else 1.15
-
-
-def _solver_options(plan_mode):
-    return SolverOptions(nranks=1, parallelism=4, ordering="natural",
-                         plan_mode=plan_mode)
+OPTIONS = SolverOptions(nranks=1, parallelism=4, ordering="natural")
+DES_SOLVER = des_oracle(SymPackSolver)
 
 
 def _tenant_union():
@@ -74,7 +78,7 @@ def _requests():
     return matrices, rhs, tenants
 
 
-def _time_refactorize(plan_mode, matrices):
+def _time_refactorize(solver_cls, matrices):
     """Mean warm ``factorize()`` seconds per cycle.
 
     Values change between cycles (``update_values``, identical cost on
@@ -82,7 +86,7 @@ def _time_refactorize(plan_mode, matrices):
     what the plan subsystem replaces — the DES graph replay vs the
     compiled-stream execution.
     """
-    solver = SymPackSolver(matrices[0], _solver_options(plan_mode))
+    solver = solver_cls(matrices[0], OPTIONS)
     solver.factorize()
     solver.update_values(matrices[1])
     solver.factorize()                     # warm-up (plan arena faults in)
@@ -98,9 +102,9 @@ def _time_refactorize(plan_mode, matrices):
     return elapsed, factor
 
 
-def _run_service(matrices, rhs, *, plan_mode):
+def _run_service(matrices, rhs, solver_cls):
     config = ServiceConfig(workers=1, queue_depth=N_REQUESTS, coalesce=False)
-    with SolveService(_solver_options(plan_mode), config) as svc:
+    with SolveService(OPTIONS, config, solver_cls=solver_cls) as svc:
         start = time.perf_counter()
         x0, s0 = svc.solve(matrices[0], rhs[0])
         cold = time.perf_counter() - start
@@ -115,7 +119,7 @@ def _run_service(matrices, rhs, *, plan_mode):
     assert s0.residual < 1e-8
     assert all(stats.residual < 1e-8 for _, stats in results)
     assert all(stats.tier == "refactor" for _, stats in results)
-    if plan_mode == "on":
+    if solver_cls is SymPackSolver:
         # 3 plans compiled on the cold request; every warm request rode
         # a factor replay plus both solve sweeps.
         assert counts.plan_compiles == 3
@@ -127,22 +131,23 @@ def _run_service(matrices, rhs, *, plan_mode):
 
 def test_plan_vs_des_service():
     refac_mats, _ = _matrices(N_REFACTOR + 2)
-    des_refac, des_factor = _time_refactorize("off", refac_mats)
-    plan_refac, plan_factor = _time_refactorize("on", refac_mats)
+    des_refac, des_factor = _time_refactorize(DES_SOLVER, refac_mats)
+    plan_refac, plan_factor = _time_refactorize(SymPackSolver, refac_mats)
     refac_speedup = des_refac / plan_refac
     assert np.array_equal(des_factor, plan_factor)
 
     matrices, rhs, tenants = _requests()
-    des_cold, des_warm, des_x, _ = _run_service(matrices, rhs,
-                                                plan_mode="off")
+    des_cold, des_warm, des_x, _ = _run_service(matrices, rhs, DES_SOLVER)
     plan_cold, plan_warm, plan_x, counts = _run_service(matrices, rhs,
-                                                        plan_mode="on")
+                                                        SymPackSolver)
 
     divergent = [i for i, (xd, xp) in enumerate(zip(des_x, plan_x))
                  if not np.array_equal(xd, xp)]
     e2e_speedup = des_warm / plan_warm
 
     record = {
+        "host": {k: v for k, v in host_block(seed=None).items()
+                 if k != "seed"},
         "quick_mode": QUICK,
         "tenants": tenants,
         "n": matrices[0].n,

@@ -144,7 +144,7 @@ def selftest_plan_waves() -> MutationReport:
 
     Same argument as :func:`selftest_waves`, but through the compiled-plan
     path: the captured flush stream is run through the plan compile pass
-    (fusion + interning) and re-verified with :func:`~repro.analysis.waves
+    (fusion) and re-verified with :func:`~repro.analysis.waves
     .verify_plan`.  The injections exercise the fused representation:
 
     * a ``multi_update`` group scattering into a ``trsm_block``'s target,

@@ -133,7 +133,7 @@ def run_scenarios(parallelism: int = 4, check_races: bool = True
             solver.solve(rhs)
             waves = info.exec_stats.waves if info.exec_stats else 0
             # Re-verify the stream the warm path would replay: compile
-            # the captured factor flush (fusion + interning) and run the
+            # the captured factor flush (fusion) and run the
             # plan verifier with the executor's own configuration.
             findings = (list(session.wave_findings)
                         + list(session.race_findings))

@@ -99,7 +99,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ordering=args.ordering, machine=_machine(args.machine),
         offload=offload, parallelism=args.parallelism,
         check_waves=args.check_waves, check_races=args.check_races,
-        plan_mode="on" if args.plan else "off",
         analysis_cache=analysis_cache,
         resilience=resilience))
     try:
@@ -136,10 +135,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     else "miss")
             print(f"analysis cache   : {tier} "
                   f"(load {load_ms:.1f} ms, dir {args.analysis_cache})")
-    if args.plan:
-        # Warm refactorization through the compiled plan (no DES run);
-        # bit-identity with the recorded run is covered by tests/plans.
-        solver.factorize()
         ps = solver.plan_stats
         print(f"compiled plans   : {ps.compiles} compiled "
               f"({ps.recorded_calls} kernel calls, {ps.fused_groups} fused "
@@ -371,13 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "bit-identical to serial; see docs/performance.md)")
     p.add_argument("--save-factor", default=None, metavar="PATH",
                    help="persist the factor (.npz) for later `resolve` runs")
-    p.add_argument("--plan", dest="plan", action="store_true", default=False,
-                   help="compile a numeric plan during factorization and "
-                        "replay it for a warm refactorization (bit-identical "
-                        "to the DES run; see docs/performance.md). "
-                        "Incompatible with --faults/--checkpoint-every")
-    p.add_argument("--no-plan", dest="plan", action="store_false",
-                   help="disable compiled-plan recording (the default)")
     p.add_argument("--check-waves", action="store_true",
                    help="verify every kernel flush for same-wave write "
                         "conflicts and wave-order inversions (exit 1 on "
@@ -419,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "docs/performance.md)")
     p.add_argument("--timings", action="store_true",
                    help="print the cold-path wall-clock breakdown "
-                        "(ordering / symbolic / blocks / first DES run)")
+                        "(ordering / symbolic / blocks / first DES run) "
+                        "and the compiled-plan counters")
     add_run_args(p)
     p.set_defaults(func=_cmd_solve)
 

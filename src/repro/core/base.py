@@ -11,10 +11,12 @@ factor-graph builder (and, optionally, its solve mapping or solve-graph
 builder).  Benches and the paper's Section 2.3 taxonomy comparison can
 therefore treat every family identically.
 
-Task graphs are built once and cached: repeated ``factorize()`` calls
-(the PEXSI pattern) reset the factor storage and the graph's execution
-context, then replay the same graph — yielding bit-identical factors and
-simulated timings each time.
+Task graphs are built once and cached.  Their first run goes through the
+discrete-event simulator and is recorded into a compiled
+:class:`~repro.plans.NumericPlan`; repeated ``factorize()`` calls (the
+PEXSI pattern) and repeated solves of a seen rhs width execute that plan
+instead — yielding bit-identical factors and simulated timings each time.
+Resilient solvers replay the graph through the simulator on every run.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from ..symbolic.supernodes import AmalgamationOptions
 from .engine import Scheduling
 from .mapping import ProcessMap, column_cyclic_1d
 from .offload import OffloadPolicy
-from .session import ExecutionSession
+from .session import ExecutionSession, RunResult
 from .storage import FactorStorage
 from .tasks import TaskGraph
 from .tracing import ExecutionTrace
@@ -103,16 +105,6 @@ class CommonOptions:
         (:mod:`repro.analysis.hb`) to every simulated world; findings
         accumulate on the session's ``race_findings`` (CLI
         ``--check-races``).
-    plan_mode:
-        ``"on"`` records the first DES-driven factorization (and each
-        first solve per rhs width) into a compiled
-        :class:`~repro.plans.NumericPlan` and executes every warm
-        repeat straight through the wave-parallel kernel executor —
-        no task-graph traversal, no event queue — with bit-identical
-        results (CLI ``--plan``; see ``docs/performance.md``).
-        ``"off"`` (default) keeps the classic DES replay path.
-        Mutually exclusive with ``resilience`` (fault injection needs
-        the simulator it would skip).
     """
 
     nranks: int = 1
@@ -130,7 +122,6 @@ class CommonOptions:
     batching: bool = True
     check_waves: bool = False
     check_races: bool = False
-    plan_mode: str = "off"
     # Persistent cold-path cache (repro.symbolic.cache.AnalysisCache):
     # when set, the solver looks up its full symbolic analysis by
     # sparsity-pattern hash before computing it, and publishes cold
@@ -140,7 +131,9 @@ class CommonOptions:
     analysis_cache: AnalysisCache | None = None
     # Resilience policy (hardened delivery, fault injection,
     # checkpoint/restart); ``None`` keeps the classic lossless path.
-    # See :class:`repro.resilience.ResilienceOptions` and
+    # Resilient solvers replay every run through the simulator (fault
+    # injection lives inside it), so they compile no plans.  See
+    # :class:`repro.resilience.ResilienceOptions` and
     # ``docs/resilience.md``.
     resilience: ResilienceOptions | None = None
 
@@ -154,14 +147,6 @@ class CommonOptions:
         if self.parallelism < 1:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}")
-        if self.plan_mode not in ("off", "on"):
-            raise ValueError(
-                f"plan_mode must be 'off' or 'on', got {self.plan_mode!r}")
-        if self.plan_mode == "on" and self.resilience is not None:
-            raise ValueError(
-                "plan_mode='on' is incompatible with resilience: compiled "
-                "replay skips the simulator that fault injection and "
-                "checkpointing run inside")
 
     def resolved_device_capacity(self) -> int | None:
         """Per-process device segment size (the recommended equal split)."""
@@ -285,14 +270,14 @@ class SolverBase:
         # nrhs -> (forward graph, backward graph, rhs buffer).
         self._solve_graphs: dict[int, tuple[TaskGraph, TaskGraph, np.ndarray]] = {}
         self._factorized = False
-        # Compiled-plan state (plan_mode="on"): the factor plan is
-        # recorded on the first factorization, solve plans per rhs
-        # width on the first solve of that width; the arena retains
-        # kernel-held buffers between replays (see repro.plans).
+        # Compiled-plan state: the factor plan is recorded on the first
+        # factorization, solve plans per rhs width on the first solve of
+        # that width.  The arena, installed on every graph context,
+        # retains kernel-held buffers between runs (see repro.plans).
         self.plan_stats = PlanStats()
         self._factor_plan: NumericPlan | None = None
         self._solve_plans: dict[int, tuple[NumericPlan, NumericPlan]] = {}
-        self._plan_arena: PlanArena | None = None
+        self._plan_arena: PlanArena | None = PlanArena(self.session.pool)
 
     # ------------------------------------------------------- family hooks
 
@@ -309,7 +294,23 @@ class SolverBase:
         ledger instead of a private pool.
         """
         return ExecContext(storage=self.storage, rhs=rhs,
-                           pool=self.session.pool)
+                           pool=self.session.pool,
+                           plan_arena=self._plan_arena)
+
+    def _adopt_context(self, graph: TaskGraph,
+                       rhs: np.ndarray | None = None) -> None:
+        """Give a freshly built graph a context wired to this solver.
+
+        Builders that construct a bare context (no build-time scratch)
+        get the session pool and the solver's arena patched in.
+        """
+        ctx = graph.context
+        if ctx is None:
+            graph.context = self._exec_context(rhs=rhs)
+            return
+        if ctx.pool is None:
+            ctx.pool = self.session.pool
+        ctx.plan_arena = self._plan_arena
 
     def _build_factor_graph(self) -> TaskGraph:
         """Build the family's factorization DAG over ``self.storage``."""
@@ -339,20 +340,20 @@ class SolverBase:
 
     @property
     def _plan_enabled(self) -> bool:
-        return self.options.plan_mode == "on"
+        """Warm runs replay compiled plans unless the solver is resilient."""
+        return self.options.resilience is None
 
     def factorize(self) -> FactorizeInfo:
         """Numeric Cholesky factorization ``P A P^T = L L^T``.
 
-        Re-entrant: the task graph is built on the first call and
-        *reused* afterwards — each later call resets the factor storage
-        from ``A`` and the graph's execution context, then replays the
-        identical graph (the repeated-factorization pattern of
-        PEXSI-style applications).  Under ``plan_mode="on"`` the first
-        call additionally records its flush stream into a compiled
-        :class:`~repro.plans.NumericPlan`, and every later call executes
-        that plan straight through the kernel executor — no DES — with
-        bit-identical results.
+        Re-entrant: the first call builds the task graph, runs it through
+        the discrete-event simulator and records the flushed kernel
+        stream into a compiled :class:`~repro.plans.NumericPlan`.  Every
+        later call resets the factor storage from ``A`` and executes that
+        plan straight through the kernel executor — no DES — with
+        factors and simulated timings bit-identical to a graph replay
+        (the repeated-factorization pattern of PEXSI-style
+        applications).  Resilient solvers replay the graph instead.
         """
         if self._closed:
             raise RuntimeError("solver is closed; its buffers were released")
@@ -363,28 +364,16 @@ class SolverBase:
                                          pool=self.session.pool)
             self._prepare_storage()
             self._factor_graph = self._build_factor_graph()
-            ctx = self._factor_graph.context
-            if ctx is None:
-                self._factor_graph.context = self._exec_context()
-            elif ctx.pool is None:
-                # Builders that construct a bare context (no build-time
-                # scratch) get the session pool patched in post-build.
-                ctx.pool = self.session.pool
+            self._adopt_context(self._factor_graph)
         else:
-            if self._plan_enabled and self._factor_plan is not None:
-                return self._plan_refactorize()
             self.storage.reset()
             self._prepare_storage()
             self._factor_graph.context.fresh_run()
-        if self._plan_enabled and self._factor_plan is None:
-            with StreamRecorder(self.session) as rec:
-                run = self.session.run(self._factor_graph)
-            self._factor_plan = compile_plan(
-                rec.stream(), kind="factor", makespan=run.makespan,
-                tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
-                comm=CommStats() + run.comm, stats=self.plan_stats)
-        else:
-            run = self.session.run(self._factor_graph)
+            if self._factor_plan is not None:
+                return self._plan_refactorize()
+        run, plan = self._des_run(self._factor_graph, "factor")
+        if plan is not None:
+            self._factor_plan = plan
         if cold:
             self._first_des_seconds = time.perf_counter() - t_des
             self.session.trace.record_phases(
@@ -411,38 +400,45 @@ class SolverBase:
             "first_des_ms": self._first_des_seconds * 1e3,
         }
 
-    def _execute_plan(self, plan: NumericPlan, ctx: ExecContext
-                      ) -> "ExecutorStats":
-        """Run one compiled plan against ``ctx`` with the arena installed."""
-        if self._plan_arena is None:
-            self._plan_arena = PlanArena(self.session.pool)
-        ctx.plan_arena = self._plan_arena
-        try:
-            stats = execute_plan(
-                plan, ctx, parallelism=self.options.parallelism,
-                batching=self.options.batching,
-                flush_hook=self.session._flush_hook)
-        finally:
-            ctx.plan_arena = None
-        self.plan_stats.hits += 1
-        return stats
+    def _des_run(self, graph: TaskGraph, kind: str
+                 ) -> tuple[RunResult, NumericPlan | None]:
+        """Run ``graph`` through the simulator; compile its stream.
 
-    def _plan_refactorize(self) -> FactorizeInfo:
-        """Warm refactorization through the compiled plan (no DES).
-
-        The context deliberately skips ``end_run()``: scratch stays
-        resident (zeroed in place by the next ``fresh_run``) and the
-        arena retains kernel-held buffers, so replays after the first
-        perform zero pool takes and zero ledger allocations.
+        The plan is ``None`` for resilient solvers, whose warm runs keep
+        replaying through the simulator.
         """
-        plan = self._factor_plan
-        ctx = self._factor_graph.context
-        self.storage.reset()
-        self._prepare_storage()
-        ctx.fresh_run()
-        stats = self._execute_plan(plan, ctx)
+        if not self._plan_enabled:
+            return self.session.run(graph), None
+        with StreamRecorder(self.session) as rec:
+            run = self.session.run(graph)
+        plan = compile_plan(
+            rec.stream(), kind=kind, makespan=run.makespan,
+            tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
+            comm=CommStats() + run.comm, stats=self.plan_stats)
+        return run, plan
+
+    def _replay(self, plan: NumericPlan, ctx: ExecContext
+                ) -> tuple[ExecutorStats, CommStats]:
+        """Execute one compiled plan against a freshly reset ``ctx``.
+
+        Returns the flush counters and this run's communication
+        counters (the recording run's, which a DES replay would
+        reproduce exactly).
+        """
+        stats = execute_plan(
+            plan, ctx, parallelism=self.options.parallelism,
+            batching=self.options.batching,
+            flush_hook=self.session._flush_hook)
+        ctx.end_run()
         comm = CommStats() + plan.comm
         self.session.record_replay(comm)
+        self.plan_stats.hits += 1
+        return stats, comm
+
+    def _plan_refactorize(self) -> FactorizeInfo:
+        """Warm refactorization through the compiled plan (no DES)."""
+        plan = self._factor_plan
+        stats, comm = self._replay(plan, self._factor_graph.context)
         self._factorized = True
         return FactorizeInfo(
             simulated_seconds=plan.makespan,
@@ -506,10 +502,7 @@ class SolverBase:
                                          zero=False)
             fwd, bwd = self._build_solve_graphs(rhs)
             for g in (fwd, bwd):
-                if g.context is None:
-                    g.context = self._exec_context(rhs=rhs)
-                elif g.context.pool is None:
-                    g.context.pool = self.session.pool
+                self._adopt_context(g, rhs=rhs)
             cached = self._solve_graphs[nrhs] = (fwd, bwd, rhs)
         fwd, bwd, rhs = cached
         rhs[:, :] = vals[self.analysis.perm.perm]
@@ -517,40 +510,26 @@ class SolverBase:
         total_time = 0.0
         total_tasks = 0
         comm = CommStats()
-        plans = self._solve_plans.get(nrhs) if self._plan_enabled else None
-        if plans is not None:
-            # Warm path: both sweeps execute their compiled streams (rhs
-            # kernels force the serial flush path either way, so replay
-            # order equals DES order trivially).
-            for plan, graph in zip(plans, (fwd, bwd)):
-                graph.context.fresh_run()
-                self._execute_plan(plan, graph.context)
-                run_comm = CommStats() + plan.comm
-                self.session.record_replay(run_comm)
-                total_time += plan.makespan
-                total_tasks += plan.tasks
-                comm += run_comm
-        elif self._plan_enabled:
-            recorded: list[NumericPlan] = []
-            for kind, graph in (("solve_fwd", fwd), ("solve_bwd", bwd)):
-                graph.context.fresh_run()
-                with StreamRecorder(self.session) as rec:
-                    run = self.session.run(graph)
-                recorded.append(compile_plan(
-                    rec.stream(), kind=kind, makespan=run.makespan,
-                    tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
-                    comm=CommStats() + run.comm, stats=self.plan_stats))
+        plans = self._solve_plans.get(nrhs)
+        recorded: list[NumericPlan | None] = []
+        # rhs kernels force the serial flush path, so a plan replays its
+        # sweep in exactly the recorded order.
+        for i, (kind, graph) in enumerate((("solve_fwd", fwd),
+                                           ("solve_bwd", bwd))):
+            graph.context.fresh_run()
+            if plans is not None:
+                _stats, run_comm = self._replay(plans[i], graph.context)
+                total_time += plans[i].makespan
+                total_tasks += plans[i].tasks
+            else:
+                run, plan = self._des_run(graph, kind)
+                recorded.append(plan)
+                run_comm = run.comm
                 total_time += run.makespan
                 total_tasks += run.tasks_total
-                comm += run.comm
+            comm += run_comm
+        if self._plan_enabled and plans is None:
             self._solve_plans[nrhs] = (recorded[0], recorded[1])
-        else:
-            for graph in (fwd, bwd):
-                graph.context.fresh_run()
-                run = self.session.run(graph)
-                total_time += run.makespan
-                total_tasks += run.tasks_total
-                comm += run.comm
 
         x = rhs[self.analysis.perm.iperm].copy()
         if squeeze:
@@ -576,18 +555,16 @@ class SolverBase:
         self._closed = True
         self._factor_plan = None
         self._solve_plans.clear()
+        for fwd, bwd, rhs in self._solve_graphs.values():
+            for g in (fwd, bwd):
+                g.context.close()
+            self.session.pool.give(rhs)
+        self._solve_graphs.clear()
+        if self._factor_graph is not None:
+            self._factor_graph.context.close()
         if self._plan_arena is not None:
             self._plan_arena.retire()
             self._plan_arena = None
-        for fwd, bwd, rhs in self._solve_graphs.values():
-            for g in (fwd, bwd):
-                if g.context is not None:
-                    g.context.close()
-            self.session.pool.give(rhs)
-        self._solve_graphs.clear()
-        if (self._factor_graph is not None
-                and self._factor_graph.context is not None):
-            self._factor_graph.context.close()
         if self.storage is not None:
             self.storage.release()
         self._factorized = False

@@ -111,7 +111,8 @@ class ExecContext:
         Dense ``(n, nrhs)`` right-hand-side block of a solve graph.
     scratch:
         Named accumulator arrays (fan-in / fan-both aggregate buffers),
-        registered at graph-build time and zeroed by :meth:`fresh_run`.
+        registered at graph-build time, zeroed in place by
+        :meth:`fresh_run` and resident until :meth:`close`.
     transient:
         Run-lifetime payloads handed between kernels (multifrontal
         contribution blocks); cleared by :meth:`fresh_run`.
@@ -120,26 +121,25 @@ class ExecContext:
         buffers; a private pool is created lazily when the context is
         used standalone (sessions inject their shared, ledgered pool).
     plan_arena:
-        When a compiled-plan replay is executing, the
-        :class:`~repro.plans.PlanArena` kernel-held buffers route
-        through instead of the pool — warm replays then serve every
+        The owning solver's :class:`~repro.plans.PlanArena`, installed
+        when the context is created: kernel-held buffers route through
+        it instead of the pool, so every run after the first serves each
         ``take_buffer`` from the arena's retained cache with zero new
-        ledger charges.  ``None`` (default) keeps the classic pool path.
+        ledger charges.  ``None`` (standalone contexts) takes straight
+        from the pool.
     """
 
     def __init__(self, storage: Any = None,
                  rhs: np.ndarray | None = None,
-                 pool: BufferPool | None = None) -> None:
+                 pool: BufferPool | None = None,
+                 plan_arena: Any = None) -> None:
         self.storage = storage
         self.rhs = rhs
         self.pool = pool
-        self.plan_arena: Any = None
+        self.plan_arena = plan_arena
         self.scratch: dict = {}
         self.transient: dict = {}
         self.epoch = 0  # bumped by end_run(): one epoch per graph run
-        # Registered scratch shapes survive end_run(), so a later
-        # fresh_run() can re-take released buffers from the pool.
-        self._scratch_shapes: dict[tuple, tuple[int, ...]] = {}
         # id(array) -> array for buffers kernels hold mid-run (frontal
         # fronts and contribution blocks); must be empty at end_run().
         self._held: dict[int, np.ndarray] = {}
@@ -159,14 +159,8 @@ class ExecContext:
         """
         arr = self.scratch.get(key)
         if arr is None:
-            known = self._scratch_shapes.get(key)
-            if known is not None and known != tuple(shape):
-                raise ValueError(
-                    f"scratch array {key!r} already registered with shape "
-                    f"{known}, requested {tuple(shape)}")
             arr = self._ensure_pool().take(shape, label="scratch")
             self.scratch[key] = arr
-            self._scratch_shapes[key] = tuple(shape)
         elif arr.shape != tuple(shape):
             raise ValueError(
                 f"scratch array {key!r} already registered with shape "
@@ -212,34 +206,23 @@ class ExecContext:
     def fresh_run(self) -> None:
         """Reset run-scoped state so the owning graph can execute again.
 
-        Scratch buffers released by a previous :meth:`end_run` are
-        re-taken from the pool (zeroed — free-list reuse across graph
-        replays); surviving ones are zeroed in place, so graphs that keep
-        direct references stay valid.
+        Scratch stays resident between runs and is zeroed in place, so
+        graphs that keep direct references stay valid and a replay takes
+        nothing from the pool.
         """
-        for key, shape in self._scratch_shapes.items():
-            arr = self.scratch.get(key)
-            if arr is None:
-                self.scratch[key] = self._ensure_pool().take(
-                    shape, label="scratch")
-            else:
-                arr[:] = 0.0
+        for arr in self.scratch.values():
+            arr[:] = 0.0
         self._drop_transient()
 
     def end_run(self) -> None:
-        """Close out one graph execution: release scratch, reconcile.
+        """Close out one graph execution: drop transients, reconcile.
 
-        Every scratch buffer goes back to the pool's free list (the next
-        ``fresh_run`` re-takes it), leftover transients are dropped, and
-        any kernel buffer still held is a leak — raised loudly so the
-        grow-only-scratch failure mode cannot silently return.
+        Leftover transients are released, and any kernel buffer still
+        held is a leak — raised loudly so the grow-only-scratch failure
+        mode cannot silently return.  Scratch stays resident for the
+        next run; :meth:`close` returns it.
         """
         self._drop_transient()
-        pool = self.pool
-        if pool is not None:
-            for arr in self.scratch.values():
-                pool.give(arr)
-        self.scratch.clear()
         if self._held:
             shapes = [a.shape for a in self._held.values()]
             self._held.clear()
@@ -249,9 +232,12 @@ class ExecContext:
         self.epoch += 1
 
     def close(self) -> None:
-        """Release everything and forget the scratch registry."""
+        """Reconcile the last run and return all scratch to the pool."""
         self.end_run()
-        self._scratch_shapes.clear()
+        if self.pool is not None:
+            for arr in self.scratch.values():
+                self.pool.give(arr)
+        self.scratch.clear()
 
     def _drop_transient(self) -> None:
         """Clear transients, returning any pool-held payloads."""

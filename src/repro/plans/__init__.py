@@ -5,11 +5,11 @@ See :mod:`repro.plans.plan` for the design.  Public surface:
 * :class:`NumericPlan` / :class:`PlanStats` — the immutable compiled
   stream and per-solver plan telemetry;
 * :func:`compile_plan` / :func:`compile_stream` — the compile pass
-  (fusion + interning);
+  (fusion);
 * :class:`StreamRecorder` — flush-stream capture during a DES run;
 * :func:`execute_plan` — run a plan through the wave-parallel executor;
-* :class:`PlanArena` — retained kernel-buffer cache making warm replays
-  allocation-free.
+* :class:`PlanArena` — retained kernel-buffer cache making every run
+  after the first allocation-free.
 """
 
 from .arena import PlanArena

@@ -1,21 +1,23 @@
-"""Per-plan buffer arena: zero-allocation warm replays.
+"""Per-solver buffer arena: zero-allocation warm runs.
 
 The :class:`~repro.memory.BufferPool` charges its ledger on *every*
 ``take`` — including free-list hits — because a take is a liveness
-event the accounting must see.  Compiled-plan replays have a stronger
-invariant available: the plan's kernel-held buffer demand (multifrontal
-fronts, Schur updates) is **identical on every replay**, because the
-replay executes a frozen stream.  A :class:`PlanArena` exploits that by
-retaining the buffers between replays: the first replay faults them in
-from the pool (charged once, like any run), and every later replay
+event the accounting must see.  Repeated runs of one graph have a
+stronger invariant available: their kernel-held buffer demand
+(multifrontal fronts, Schur updates) is **identical on every run**,
+because every run executes the same kernel stream.  A solver installs
+one :class:`PlanArena` on each of its graph contexts when the context
+is created; the arena retains the buffers between runs.  The first
+(cold) run faults them in from the pool (charged once, like any run),
+and every later run — compiled-plan replay or resilient DES replay —
 serves the same shapes from the arena cache with *zero* pool takes and
-zero ledger traffic — the "warm plan replay performs no allocator
-growth" guarantee pinned in ``tests/memory/``.
+zero ledger traffic — the "warm replay performs no allocator growth"
+guarantee pinned in ``tests/memory/``.
 
 Arena-cached arrays stay ledger-charged (they are retained, not free),
 so live-byte truth is preserved; :meth:`retire` drains everything back
 to the pool when the owning solver closes, returning the ledger to its
-pre-plan level.  Thread-safe via :func:`repro.core.tracing.mutex` —
+pre-run level.  Thread-safe via :func:`repro.core.tracing.mutex` —
 wave-parallel frontal kernels take and give from pool worker threads.
 """
 
@@ -75,11 +77,9 @@ class PlanArena:
         return arr
 
     def give(self, arr: np.ndarray) -> None:
-        """Retain an arena buffer for the next replay.
+        """Retain an arena buffer for the next run.
 
-        Arrays the arena did not hand out fall through to the pool
-        (mixed-lifetime callers stay correct if the arena is installed
-        mid-run).
+        Arrays the arena did not hand out fall through to the pool.
         """
         with self._lock:
             key = self._out.pop(id(arr), None)
@@ -94,7 +94,7 @@ class PlanArena:
 
         Called when the owning solver closes (and by the service when a
         cached factor entry is evicted), so the ledger's live bytes
-        drain back to the pre-plan level.  Returns the number of arrays
+        drain back to the pre-run level.  Returns the number of arrays
         released.  Outstanding (handed-out) buffers at retire time are a
         lifetime bug and raise.
         """

@@ -7,37 +7,27 @@ DES is deterministic — replaying the same task graph re-derives the same
 stream every time — so executing the frozen stream through an
 identically-configured executor produces **bit-identical** factors while
 skipping the event queue, rank clocks and simulated RPC entirely.  That
-is the warm-refactorization hot path the solve service rides
-(``CommonOptions.plan_mode="on"``).
+is the warm path of every non-resilient solver: repeated factorizations
+and repeated solves of a seen rhs width.
 
-:func:`compile_plan` additionally optimises the stream without changing
-its numerics:
-
-* **fusion** — maximal runs of consecutive same-wave, same-target
-  ``syrk_sub``/``gemm_sub`` scatter calls collapse into one
-  ``multi_update`` group.  The group executes its actions in the
-  original submission order (serial path), and on the wave path its
-  queue entries carry ``(submission index, intra-group seq)`` keys that
-  sort back into exactly the unfused per-buffer apply order — fused
-  members were *consecutive*, so no other entry for the same buffer can
-  fall between them;
-* **interning** — operand reference tuples and flat scatter-index
-  arrays repeated across the stream are deduplicated by value, shrinking
-  the plan's resident footprint and improving cache locality of the
-  replay loop.
-
-Both transformations preserve the per-buffer apply order the executor's
-bit-identity argument rests on; the property suite in ``tests/plans/``
-pins plan-replay == DES-replay bytes for all five solver families.
+:func:`compile_plan` **fuses** the stream without changing its
+numerics: maximal runs of consecutive same-wave, same-target
+``syrk_sub``/``gemm_sub`` scatter calls collapse into one
+``multi_update`` group.  The group executes its actions in the original
+submission order (serial path), and on the wave path its queue entries
+carry ``(submission index, intra-group seq)`` keys that sort back into
+exactly the unfused per-buffer apply order — fused members were
+*consecutive*, so no other entry for the same buffer can fall between
+them.  Every unfused entry is the graph task's own ``KernelCall``
+object: the solver keeps its task graph alive, so the plan copies
+nothing.  The property suite in ``tests/plans/`` pins plan-replay ==
+DES-replay bytes for all five solver families.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
 
 from ..kernels.dispatch import KernelCall
 from ..pgas.runtime import CommStats
@@ -61,8 +51,6 @@ class PlanStats:
     recorded_calls: int = 0      # source stream calls across all plans
     fused_groups: int = 0        # multi_update groups the compiler emitted
     fused_calls: int = 0         # source calls absorbed into those groups
-    interned_arrays: int = 0     # repeated index arrays deduplicated
-    interned_refs: int = 0       # repeated ref tuples deduplicated
 
 
 @dataclass(frozen=True)
@@ -75,8 +63,8 @@ class NumericPlan:
         ``"factor"`` / ``"solve_fwd"`` / ``"solve_bwd"`` — what the
         recorded run computed.
     stream:
-        The executable ``(KernelCall, wave)`` stream, post fusion and
-        interning.  Waves are the recording engine's DAG depths, so the
+        The executable ``(KernelCall, wave)`` stream, post fusion.
+        Waves are the recording engine's DAG depths, so the
         wave-parallel executor path applies unchanged.
     calls:
         Calls in the *source* stream (pre-fusion).
@@ -87,7 +75,7 @@ class NumericPlan:
         deterministic, so a replay through the simulator would reproduce
         these numbers exactly — the plan reports them instead of
         re-deriving them.
-    fused_groups / fused_calls / interned_arrays / interned_refs:
+    fused_groups / fused_calls:
         What the compile pass did (also accumulated on the solver's
         :class:`PlanStats`).
     compile_seconds:
@@ -104,8 +92,6 @@ class NumericPlan:
     comm: CommStats = field(default_factory=CommStats)
     fused_groups: int = 0
     fused_calls: int = 0
-    interned_arrays: int = 0
-    interned_refs: int = 0
     compile_seconds: float = 0.0
 
 
@@ -120,38 +106,6 @@ def _as_action(call: KernelCall) -> tuple:
         return ("syrk", tgt_ref, a_ref, None, flat, sign)
     tgt_ref, a_ref, b_ref, flat, sign = call.args
     return ("gemm", tgt_ref, a_ref, b_ref, flat, sign)
-
-
-class _Interner:
-    """Value-dedup of ref tuples and index arrays across a plan."""
-
-    def __init__(self) -> None:
-        self._tuples: dict[tuple, tuple] = {}
-        self._arrays: dict[tuple, np.ndarray] = {}
-        self.tuples_hit = 0
-        self.arrays_hit = 0
-
-    def intern(self, obj: Any) -> Any:
-        if isinstance(obj, np.ndarray):
-            key = (obj.shape, obj.dtype.str, obj.tobytes())
-            hit = self._arrays.get(key)
-            if hit is not None:
-                self.arrays_hit += 1
-                return hit
-            self._arrays[key] = obj
-            return obj
-        if isinstance(obj, tuple):
-            items = tuple(self.intern(x) for x in obj)
-            if all(isinstance(x, (str, int, float, bool, type(None)))
-                   for x in items):
-                hit = self._tuples.get(items)
-                if hit is not None:
-                    self.tuples_hit += 1
-                    return hit
-                self._tuples[items] = items
-                return items
-            return items
-        return obj
 
 
 def _fuse(raw: list[tuple[KernelCall, int | None]]
@@ -203,10 +157,7 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
     """
     t0 = time.perf_counter()
     fused, groups, absorbed = _fuse(list(raw))
-    interner = _Interner()
-    stream = tuple(
-        (KernelCall(call.op, interner.intern(call.args)), wave)
-        for call, wave in fused)
+    stream = tuple(fused)
     elapsed = time.perf_counter() - t0
     plan = NumericPlan(
         kind=kind,
@@ -219,8 +170,6 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
         comm=comm if comm is not None else CommStats(),
         fused_groups=groups,
         fused_calls=absorbed,
-        interned_arrays=interner.arrays_hit,
-        interned_refs=interner.tuples_hit,
         compile_seconds=elapsed,
     )
     if stats is not None:
@@ -229,8 +178,6 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
         stats.recorded_calls += plan.calls
         stats.fused_groups += groups
         stats.fused_calls += absorbed
-        stats.interned_arrays += interner.arrays_hit
-        stats.interned_refs += interner.tuples_hit
     return plan
 
 

@@ -66,7 +66,7 @@ class ServiceStats:
     plan_hits:
         Compiled-plan replays this request's work rode through
         (refactorization and/or solve sweeps executed as frozen kernel
-        streams instead of DES runs; 0 when ``plan_mode`` is off).
+        streams instead of DES runs; always 0 for resilient solvers).
     plan_compile_ms:
         Wall-clock milliseconds spent compiling new plans on behalf of
         this request (first-run recording cost; 0.0 on warm paths).

@@ -151,8 +151,8 @@ class ServiceCounters:
     refactorizations: int = 0
     solve_runs: int = 0
     coalesced_requests: int = 0
-    # Compiled-plan telemetry (plan_mode="on"): replays executed as
-    # frozen kernel streams, plans compiled, and total compile cost.
+    # Compiled-plan telemetry: replays executed as frozen kernel
+    # streams, plans compiled, and total compile cost.
     plan_hits: int = 0
     plan_compiles: int = 0
     plan_compile_ms: float = 0.0
@@ -443,8 +443,8 @@ class SolveService:
         Called under the pattern's key lock, so concurrent requests on
         one pattern never duplicate symbolic or numeric work.  Returns
         ``(tier, entry, factor_seconds, plan_hits, plan_compile_ms)`` —
-        the last two attribute compiled-plan work (plan_mode="on") to
-        the materialization.
+        the last two attribute compiled-plan work to the
+        materialization.
         """
         entry = self.factor_cache.get(req.pattern_key)
         if entry is not None:
@@ -453,8 +453,8 @@ class SolveService:
                     if entry.values_key == req.values_key:
                         return "factor", entry, 0.0, 0, 0.0
                     # Numeric-only change: swap the values in place and
-                    # replay the cached factorization graph — through the
-                    # compiled plan when one is attached (plan_mode="on").
+                    # replay the cached factorization — through its
+                    # compiled plan unless the solver is resilient.
                     before = self._plan_snapshot(entry.solver)
                     entry.solver.update_values(req.a)
                     info = entry.solver.factorize()

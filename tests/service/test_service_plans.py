@@ -1,19 +1,21 @@
 """Compiled plans inside the solve service: caching, telemetry, eviction.
 
-Plans live on the cached solver, so the pattern-keyed
-:class:`FactorCache` carries them implicitly — eviction must retire the
-plan and its arena along with the factor (ledger drains to zero), and a
-re-submitted matrix must degrade to the symbolic tier and recompile,
-never ride a stale plan.
+Every non-resilient solver compiles plans, and plans live on the cached
+solver, so the pattern-keyed :class:`FactorCache` carries them
+implicitly — eviction must retire the plan and its arena along with the
+factor (ledger drains to zero), and a re-submitted matrix must degrade
+to the symbolic tier and recompile, never ride a stale plan.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro import ServiceConfig, SolveService, SolverOptions
+from repro import ServiceConfig, SolveService, SolverOptions, SymPackSolver
+from repro.resilience import ResilienceOptions
 from repro.sparse import SymmetricCSC, grid_laplacian_2d, random_spd
+from tests.des_oracle import des_oracle
 
-PLAN_OPTIONS = SolverOptions(nranks=2, plan_mode="on")
+PLAN_OPTIONS = SolverOptions(nranks=2)
 
 
 def _config(**overrides) -> ServiceConfig:
@@ -53,30 +55,43 @@ class TestPlanTelemetry:
         assert counts.plan_compile_ms > 0
         svc.close()
 
-    def test_plan_off_reports_zero(self):
+    def test_resilient_service_reports_zero(self):
         a = grid_laplacian_2d(8, 8)
-        with SolveService(SolverOptions(nranks=2), _config()) as svc:
+        opts = SolverOptions(nranks=2, resilience=ResilienceOptions())
+        with SolveService(opts, _config()) as svc:
             _, s0 = svc.solve(a, _rhs(a, 0))
             _, s1 = svc.solve(_shifted(a, 0.2), _rhs(a, 1))
             counts = svc.counters()
+        assert (s0.tier, s1.tier) == ("cold", "refactor")
         assert (s0.plan_hits, s1.plan_hits) == (0, 0)
+        assert (s0.plan_compile_ms, s1.plan_compile_ms) == (0.0, 0.0)
         assert counts.plan_compiles == 0 and counts.plan_hits == 0
+        assert counts.plan_compile_ms == 0.0
         svc.close()
 
-    def test_plan_solution_matches_plan_off(self):
+    def test_plan_solution_matches_des_oracle(self):
         """The service's plan tier changes performance, never bits."""
         a = random_spd(50, density=0.15, seed=1)
-        shifts = (0.0, 0.2, 0.4)
+        shifts = (0.0, 0.2, 0.4, 0.4)
         results = {}
-        for mode in ("off", "on"):
-            opts = SolverOptions(nranks=2, plan_mode=mode)
-            with SolveService(opts, _config()) as svc:
-                results[mode] = [
-                    svc.solve(_shifted(a, s), _rhs(a, i))[0]
-                    for i, s in enumerate(shifts)]
+        for solver_cls in (SymPackSolver, des_oracle(SymPackSolver)):
+            with SolveService(PLAN_OPTIONS, _config(),
+                              solver_cls=solver_cls) as svc:
+                results[solver_cls] = (
+                    [svc.solve(_shifted(a, s), _rhs(a, i))
+                     for i, s in enumerate(shifts)],
+                    svc.counters())
             svc.close()
-        for x_off, x_on in zip(results["off"], results["on"]):
-            assert np.array_equal(x_off, x_on)
+        plan, des = results.values()
+        assert [s.tier for _x, s in plan[0]] == [
+            "cold", "refactor", "refactor", "factor"]
+        assert plan[1].plan_hits == 2 * 3 + 2
+        assert des[1].plan_compiles == des[1].plan_hits == 0
+        for (x_plan, s_plan), (x_des, s_des) in zip(plan[0], des[0]):
+            assert np.array_equal(x_plan, x_des)
+            assert s_plan.factor_seconds == s_des.factor_seconds
+            assert s_plan.solve_seconds == s_des.solve_seconds
+        assert plan[1].comm == des[1].comm
 
 
 class TestPlanEviction:
