@@ -1,4 +1,4 @@
-"""Numeric-flush macro benchmark: serial vs batched vs wave-parallel.
+"""Numeric-flush macro benchmark: serial vs batched.
 
 Two scenarios, both factored through the full solver API so the numbers
 reflect what users see:
@@ -8,23 +8,23 @@ reflect what users see:
   service produces when it coalesces independent requests into one
   factorization.  Its kernel stream is dominated by small diagonal-block
   factorizations, exactly the regime the width-pooled gufunc batching
-  and the wave-parallel flush were built for.
+  was built for.
 * **grid** — a 2-D Laplacian: an update-dominated sparse stream with
   larger blocks, where stacked products are gated off and the flush
   modes are expected to be roughly at par (reported for honesty, no
   speedup requirement).
 
-Three execution modes per scenario (see ``docs/performance.md``):
+Two execution modes per scenario (see ``docs/performance.md``):
 
-* ``serial``  — ``parallelism=1, batching=False`` (one-at-a-time reference)
-* ``batched`` — ``parallelism=1`` (production default)
-* ``parallel`` — ``parallelism=4``
+* ``serial``  — ``batching=False`` (one-at-a-time reference)
+* ``batched`` — the production default
 
 Each mode reports the **minimum flush wall-clock over several repeated
 factorizations** (the standard way to strip scheduler noise on shared
-hosts).  Factors and solutions must be bit-identical across all three
-modes — ``np.array_equal``, not ``allclose`` — and the results land in
-``benchmarks/perf/BENCH_numeric.json``.
+hosts).  Factors and solutions must be bit-identical across both modes
+— ``np.array_equal``, not ``allclose`` — and the results land in
+``benchmarks/perf/BENCH_numeric.json`` together with a ``host`` block
+(usable CPUs, BLAS threads, library versions, git sha).
 
 Set ``REPRO_BENCH_QUICK=1`` for a fast CI-sized run.
 """
@@ -37,19 +37,18 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from perfbench.run import host_block
 from repro.core.solver import SolverOptions, SymPackSolver
 from repro.sparse import SymmetricCSC, grid_laplacian_2d
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 RESULTS_PATH = Path(__file__).parent / "BENCH_numeric.json"
-PARALLELISM = 4
 REPS = 5 if QUICK else 12
 
 _results: dict = {
-    "benchmark": "numeric flush wall-clock (serial vs batched vs parallel)",
+    "benchmark": "numeric flush wall-clock (serial vs batched)",
     "quick_mode": QUICK,
-    "parallelism": PARALLELISM,
-    "cpu_count": os.cpu_count(),
+    "host": {k: v for k, v in host_block(seed=None).items() if k != "seed"},
     "scenarios": {},
 }
 
@@ -74,11 +73,10 @@ def _grid_matrix():
     return grid_laplacian_2d(g, g), {"grid": g}
 
 
-def _measure(a, parallelism, batching):
+def _measure(a, batching):
     """Min flush wall-clock over REPS factorizations + factor/solution."""
     solver = SymPackSolver(a, SolverOptions(
-        nranks=1, parallelism=parallelism, batching=batching,
-        ordering="natural"))
+        nranks=1, batching=batching, ordering="natural"))
     best = float("inf")
     stats = None
     for _ in range(REPS):
@@ -96,19 +94,14 @@ def _measure(a, parallelism, batching):
         "calls": stats.calls,
         "batches": stats.batches,
         "stacked": stats.stacked,
-        "waves": stats.waves,
     }, factor, x
 
 
 def _run_scenario(name, a, meta):
     modes = {}
     arrays = {}
-    for mode, (par, batching) in {
-        "serial": (1, False),
-        "batched": (1, True),
-        "parallel": (PARALLELISM, True),
-    }.items():
-        modes[mode], factor, x = _measure(a, par, batching)
+    for mode, batching in {"serial": False, "batched": True}.items():
+        modes[mode], factor, x = _measure(a, batching)
         arrays[mode] = (factor, x)
 
     # Hard requirement: every mode produces the same bits.
@@ -125,12 +118,9 @@ def _run_scenario(name, a, meta):
                    for k, v in vals.items()}
             for mode, vals in modes.items()
         },
-        "speedup_parallel_vs_serial": round(
+        "speedup_batched_vs_serial": round(
             modes["serial"]["flush_seconds"]
-            / modes["parallel"]["flush_seconds"], 3),
-        "speedup_parallel_vs_batched": round(
-            modes["batched"]["flush_seconds"]
-            / modes["parallel"]["flush_seconds"], 3),
+            / modes["batched"]["flush_seconds"], 3),
         "bit_identical": not divergent,
     }
     _results["scenarios"][name] = record
@@ -143,12 +133,12 @@ def test_coalesced_macro_flush():
     """Headline macro benchmark: coalesced small-tenant factorization."""
     a, meta = _coalesced_matrix()
     record = _run_scenario("coalesced", a, meta)
-    speedup = record["speedup_parallel_vs_serial"]
-    print(f"\ncoalesced: parallel vs serial {speedup:.2f}x "
+    speedup = record["speedup_batched_vs_serial"]
+    print(f"\ncoalesced: batched vs serial {speedup:.2f}x "
           f"(serial {record['modes']['serial']['flush_seconds'] * 1e3:.2f} ms, "
-          f"parallel {record['modes']['parallel']['flush_seconds'] * 1e3:.2f} ms)")
-    # Wave batching must at least clearly beat one-at-a-time execution;
-    # the recorded JSON carries the exact measured figure.
+          f"batched {record['modes']['batched']['flush_seconds'] * 1e3:.2f} ms)")
+    # Batching must at least clearly beat one-at-a-time execution; the
+    # recorded JSON carries the exact measured figure.
     assert speedup > (1.2 if QUICK else 2.0)
 
 
@@ -156,6 +146,6 @@ def test_grid_flush_reported():
     """Secondary scenario: update-dominated sparse stream (no 2x claim)."""
     a, meta = _grid_matrix()
     record = _run_scenario("grid", a, meta)
-    print(f"\ngrid: parallel vs serial "
-          f"{record['speedup_parallel_vs_serial']:.2f}x")
+    print(f"\ngrid: batched vs serial "
+          f"{record['speedup_batched_vs_serial']:.2f}x")
     # Identity is asserted inside _run_scenario; speedup is reported only.

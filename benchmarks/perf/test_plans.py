@@ -49,7 +49,7 @@ MIN_REFACTOR_SPEEDUP = 1.5 if QUICK else 3.0
 # End-to-end warm requests still pay untouched phases (queueing, value
 # rescatter, solves, residual checks); the plan path must simply win.
 MIN_E2E_SPEEDUP = 1.0 if QUICK else 1.15
-OPTIONS = SolverOptions(nranks=1, parallelism=4, ordering="natural")
+OPTIONS = SolverOptions(nranks=1, ordering="natural")
 DES_SOLVER = des_oracle(SymPackSolver)
 
 

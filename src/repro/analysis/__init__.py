@@ -1,16 +1,9 @@
 """Concurrency-correctness analysis suite.
 
-Three layers, one goal: turn the invariants the executor and the simulated
-PGAS runtime *rely on* into properties that are mechanically checked on
-every commit instead of merely sampled by property tests.
-
-* :mod:`repro.analysis.waves` — the **wave conflict verifier**.  Consumes
-  the ``(KernelCall, wave)`` stream a :class:`~repro.kernels.dispatch
-  .KernelExecutor` flushes and proves that the wave-parallel execution
-  discipline is sound for that exact stream: no two calls in one wave
-  touch overlapping bytes with an in-place write, and every deferred
-  scatter-add is ordered consistently (submission order agrees with wave
-  order) against every in-place access of the same bytes.
+Three layers, one goal: turn the invariants the simulated PGAS runtime,
+the kernel layer and the pooled-memory/service layers *rely on* into
+properties that are mechanically checked on every commit instead of
+merely sampled by property tests.
 
 * :mod:`repro.analysis.hb` — the **PGAS happens-before checker**.  A
   vector-clock tracer attached to a :class:`~repro.pgas.runtime.World`
@@ -26,13 +19,16 @@ every commit instead of merely sampled by property tests.
   ``assert``-based input validation, dict-iteration-order dependence in
   scheduling paths).
 
-All three run from one entry point (``python -m repro.analysis``) and are
+* :mod:`repro.analysis.ownership` / :mod:`repro.analysis.locks` — the
+  **flow-sensitive** buffer-ownership and lock-discipline passes over
+  the pooled-memory and service layers.
+
+All of them run from one entry point (``python -m repro.analysis``) and are
 self-tested by mutation (:mod:`repro.analysis.mutation`): seeded defect
 injections must be flagged and the clean tree must produce zero findings.
 """
 
 from .hb import PgasTracer
 from .report import Finding, format_findings
-from .waves import verify_flush
 
-__all__ = ["Finding", "format_findings", "PgasTracer", "verify_flush"]
+__all__ = ["Finding", "format_findings", "PgasTracer"]

@@ -6,10 +6,9 @@
 * ``flow`` — the flow-sensitive CFG/dataflow pass: buffer ownership
   (REP200-REP203) and lock discipline (REP210-REP211) over the
   pooled-memory and service layers.
-* ``waves`` — the wave conflict verifier over the full determinism
-  scenario grid (5 solver families × 3 matrices, parallelism 4).
-* ``races`` — the scenario grid with the PGAS happens-before checker
-  attached as well (vector clocks on every world).
+* ``races`` — the determinism scenario grid (5 solver families × 3
+  matrices) with the PGAS happens-before checker attached (vector
+  clocks on every world).
 * ``selftest`` — mutation self-tests: each layer must be clean on the
   real tree and must flag its seeded defect injection.
 * ``all`` — everything above; the CI ``static-analysis`` job runs this.
@@ -38,34 +37,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(list(args.paths))
 
 
-def _run_grid(check_races: bool, parallelism: int) -> int:
+def _cmd_races(_args: argparse.Namespace) -> int:
     from .report import format_findings
     from .scenarios import run_scenarios
 
-    results = run_scenarios(parallelism=parallelism,
-                            check_races=check_races)
+    results = run_scenarios()
     bad = 0
     for res in results:
         status = "clean" if res.clean else f"{len(res.findings)} finding(s)"
         print(f"{res.family:>20s} × {res.matrix:<10s} "
-              f"flushes={res.flushes_checked:<4d} "
-              f"waves={res.waves_executed:<4d} "
-              f"plan={res.plan_stream_calls:<5d} {status}")
+              f"tasks={res.tasks:<5d} {status}")
         if not res.clean:
             bad += 1
             print(format_findings(res.findings))
-    mode = "waves+races" if check_races else "waves"
-    print(f"{len(results)} scenario(s) checked ({mode}); "
+    print(f"{len(results)} scenario(s) checked (races); "
           f"{bad} with findings")
     return 1 if bad else 0
-
-
-def _cmd_waves(args: argparse.Namespace) -> int:
-    return _run_grid(check_races=False, parallelism=args.parallelism)
-
-
-def _cmd_races(args: argparse.Namespace) -> int:
-    return _run_grid(check_races=True, parallelism=args.parallelism)
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
@@ -139,8 +126,8 @@ def _cmd_all(args: argparse.Namespace) -> int:
     rc |= _cmd_lint(argparse.Namespace(paths=[]))
     print("== flow (ownership + locks) ==")
     rc |= _cmd_flow(argparse.Namespace(paths=[]))
-    print("== scenarios (waves + races) ==")
-    rc |= _run_grid(check_races=True, parallelism=args.parallelism)
+    print("== scenarios (races) ==")
+    rc |= _cmd_races(args)
     print("== mutation selftest ==")
     rc |= _cmd_selftest(args)
     return rc
@@ -150,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Concurrency-correctness analysis suite "
-                    "(wave verifier, PGAS happens-before checker, lint).")
+                    "(PGAS happens-before checker, lint, flow passes).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lint = sub.add_parser("lint", help="AST lint pass (REP1xx rules)")
@@ -167,15 +154,11 @@ def main(argv: list[str] | None = None) -> int:
     p_flow.set_defaults(fn=_cmd_flow)
 
     for name, fn, doc in (
-        ("waves", _cmd_waves,
-         "wave conflict verifier over the scenario grid"),
         ("races", _cmd_races,
          "scenario grid with the happens-before checker attached"),
-        ("all", _cmd_all, "lint + scenarios + mutation selftest"),
+        ("all", _cmd_all, "lint + flow + scenarios + mutation selftest"),
     ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--parallelism", type=int, default=4)
-        p.set_defaults(fn=fn)
+        sub.add_parser(name, help=doc).set_defaults(fn=fn)
 
     p_self = sub.add_parser(
         "selftest", help="mutation self-tests (seeded defect injection)")

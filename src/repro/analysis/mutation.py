@@ -9,16 +9,6 @@ report.
 
 The injections mirror the analysis layers:
 
-* **waves** — a real factorization's flush stream is captured, verified
-  clean, then mutated: a ``trsm_block`` call is duplicated *into its own
-  wave* (two concurrent in-place writes of one panel block — must raise
-  ``WAVE001``) and re-submitted *into an earlier wave* (submission/wave
-  order inversion — must raise ``WAVE002``).
-* **plan-waves** — the same stream is run through the plan compile pass
-  (``repro.plans``) and re-verified; a fused ``multi_update`` group
-  inserted ahead of the stream against a ``trsm_block`` target must
-  raise ``WAVE003``, and a duplicated in-place write must still raise
-  ``WAVE001`` on the compiled representation.
 * **races** — a checked factorization must be race-free; then a scripted
   world performs an ``rma_put`` into another rank's buffer with no
   ordering edge (must raise ``HB003``), sends a signal advertising a
@@ -55,18 +45,17 @@ job) fail unless every layer passes both halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .report import Finding
-from .waves import verify_flush
 
-__all__ = ["MutationReport", "selftest_waves", "selftest_plan_waves",
-           "selftest_races", "selftest_lint", "selftest_pool_lint",
-           "selftest_wallclock_lint", "selftest_flow_ownership",
-           "selftest_flow_locks", "run_selftest", "format_reports"]
+__all__ = ["MutationReport", "selftest_races", "selftest_lint",
+           "selftest_pool_lint", "selftest_wallclock_lint",
+           "selftest_flow_ownership", "selftest_flow_locks",
+           "run_selftest", "format_reports"]
 
 
 @dataclass
@@ -78,7 +67,6 @@ class MutationReport:
     injected_findings: list[Finding]
     expect_rules: tuple[str, ...]
     notes: str = ""
-    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -86,118 +74,6 @@ class MutationReport:
         return (not self.clean_findings
                 and all(any(f.rule == rule for f in self.injected_findings)
                         for rule in self.expect_rules))
-
-
-def _capture_factor_flush() -> tuple:
-    """One real wave-parallel factorization's flush stream + executor."""
-    from ..core.solver import SolverOptions, SymPackSolver
-    from ..sparse.generators import random_spd
-
-    a = random_spd(60, density=0.15, seed=3)
-    solver = SymPackSolver(a, SolverOptions(nranks=2, parallelism=4))
-    captured: list = []
-    solver.session._flush_hook = (
-        lambda executor, pending: captured.append((executor, list(pending))))
-    solver.factorize()
-    return captured[0]
-
-
-def selftest_waves() -> MutationReport:
-    """Wave verifier: clean stream passes; injected conflicts are caught."""
-    executor, pending = _capture_factor_flush()
-    ctx = executor.context
-    par, batching = executor.parallelism, executor.batching
-    clean = verify_flush(pending, ctx, parallelism=par, batching=batching)
-
-    idx = next(i for i, (call, _w) in enumerate(pending)
-               if call.op == "trsm_block")
-    call, wave = pending[idx]
-
-    # Injection 1: the same in-place panel write twice in one wave.
-    overlapping = verify_flush(pending + [(call, wave)], ctx,
-                               parallelism=par, batching=batching)
-    # Injection 2: re-submission into an earlier wave (order inversion).
-    inverted = verify_flush(pending + [(call, max(0, wave - 1))], ctx,
-                            parallelism=par, batching=batching)
-
-    injected = overlapping + inverted
-    report = MutationReport(
-        layer="waves",
-        clean_findings=clean,
-        injected_findings=injected,
-        expect_rules=("WAVE001", "WAVE002"),
-        notes=(f"captured {len(pending)} calls; duplicated trsm_block "
-               f"args={call.args} (wave {wave})"),
-        details={"stream_calls": len(pending), "mutant_site": call.args},
-    )
-    # Precision: the WAVE001 finding must name the duplicated call's
-    # panel buffer and both task indices.
-    w1 = [f for f in overlapping if f.rule == "WAVE001"]
-    if not any(f.details.get("buffer") == ("panel", call.args[0])
-               and f.details.get("task_b") == len(pending) for f in w1):
-        report.expect_rules = report.expect_rules + ("WAVE001-precise",)
-    return report
-
-
-def selftest_plan_waves() -> MutationReport:
-    """Plan verifier: compiled stream clean; fused-group conflicts caught.
-
-    Same argument as :func:`selftest_waves`, but through the compiled-plan
-    path: the captured flush stream is run through the plan compile pass
-    (fusion) and re-verified with :func:`~repro.analysis.waves
-    .verify_plan`.  The injections exercise the fused representation:
-
-    * a ``multi_update`` group scattering into a ``trsm_block``'s target,
-      *inserted ahead of the whole stream* at the trsm's own wave — the
-      deferred apply then precedes the in-place write in submission order
-      while their waves are equal, an order the wave path cannot
-      reproduce (``WAVE003``);
-    * the trsm's in-place block write duplicated into its own wave
-      (``WAVE001``), proving plain conflicts survive compilation too.
-    """
-    from ..kernels.dispatch import KernelCall
-    from ..plans import compile_stream
-    from .waves import verify_plan
-
-    executor, pending = _capture_factor_flush()
-    ctx = executor.context
-    par, batching = executor.parallelism, executor.batching
-    plan = compile_stream(pending)
-    clean = verify_plan(plan, ctx, parallelism=par, batching=batching)
-
-    idx = next(i for i, (call, _w) in enumerate(pending)
-               if call.op == "trsm_block")
-    call, wave = pending[idx]
-    s, bi = call.args
-    group = KernelCall("multi_update", ((
-        ("syrk", ("blk", s, bi), ("diag", s), None, np.arange(2), -1.0),
-    ),))
-    fused_mutant = compile_stream([(group, wave)] + list(pending))
-    fused = verify_plan(fused_mutant, ctx, parallelism=par,
-                        batching=batching)
-    dup_mutant = compile_stream(list(pending) + [(call, wave)])
-    duplicated = verify_plan(dup_mutant, ctx, parallelism=par,
-                             batching=batching)
-
-    report = MutationReport(
-        layer="plan-waves",
-        clean_findings=clean,
-        injected_findings=fused + duplicated,
-        expect_rules=("WAVE003", "WAVE001"),
-        notes=(f"compiled {plan.calls} calls ({plan.fused_groups} fused "
-               f"group(s)); injected multi_update into blk{(s, bi)} at "
-               f"wave {wave}"),
-        details={"plan_calls": plan.calls,
-                 "fused_groups": plan.fused_groups},
-    )
-    # Precision: the WAVE003 finding must pin the injected group (task 0,
-    # a multi_update) against the trsm'd panel buffer.
-    w3 = [f for f in fused if f.rule == "WAVE003"]
-    if not any(f.details.get("buffer") == ("panel", s)
-               and f.details.get("task_a") == 0
-               and f.details.get("op_a") == "multi_update" for f in w3):
-        report.expect_rules = report.expect_rules + ("WAVE003-precise",)
-    return report
 
 
 def selftest_races() -> MutationReport:
@@ -486,8 +362,7 @@ def selftest_flow_locks() -> MutationReport:
 
 def run_selftest() -> list[MutationReport]:
     """All layers' mutation self-tests."""
-    return [selftest_waves(), selftest_plan_waves(), selftest_races(),
-            selftest_lint(), selftest_pool_lint(),
+    return [selftest_races(), selftest_lint(), selftest_pool_lint(),
             selftest_wallclock_lint(), selftest_flow_ownership(),
             selftest_flow_locks()]
 

@@ -1,18 +1,17 @@
 """Checked execution scenarios: the determinism property-suite matrix.
 
 The determinism property tests (``tests/property/``) pin *bit-identity*
-of the three flush modes across all five solver families; this module
-runs the same family × matrix grid with the wave conflict verifier and
-the happens-before checker attached, turning the empirical bit-identity
-evidence into per-run mechanical proofs.  The CI ``static-analysis`` job
-runs :func:`run_scenarios` (via ``python -m repro.analysis waves``) and
-fails on any finding.
+of the flush modes across all five solver families; this module runs the
+same family × matrix grid with the PGAS happens-before checker attached
+to every simulated world, turning "the runs agree" into a per-run
+mechanical check that no remote access is unordered.  The CI
+``static-analysis`` job runs :func:`run_scenarios` (via ``python -m
+repro.analysis races``) and fails on any finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,25 +19,16 @@ import scipy.sparse as sp
 from ..sparse import SymmetricCSC, grid_laplacian_2d, random_spd
 from .report import Finding
 
-__all__ = ["ScenarioResult", "scenario_grid", "run_scenarios"]
+__all__ = ["ScenarioResult", "run_scenarios"]
 
 
 @dataclass
 class ScenarioResult:
-    """One checked family × matrix execution.
-
-    ``plan_stream_calls`` counts the kernel calls of the compiled-plan
-    stream derived from the factorization's first flush (fusion applied)
-    that was re-verified through :func:`~repro.analysis.waves
-    .verify_plan`; its findings land in ``findings`` alongside the live
-    ones.
-    """
+    """One checked family × matrix execution (factorize + solve)."""
 
     family: str
     matrix: str
-    flushes_checked: int
-    waves_executed: int
-    plan_stream_calls: int = 0
+    tasks: int
     findings: list[Finding] = field(default_factory=list)
 
     @property
@@ -86,73 +76,27 @@ _MATRICES = {
 }
 
 
-def scenario_grid() -> list[tuple[str, str]]:
-    """``(family, matrix)`` names of the full scenario grid."""
-    return [(cls.__name__, key)
-            for cls, _opts in _families() for key in sorted(_MATRICES)]
+def run_scenarios() -> list[ScenarioResult]:
+    """Run every family × matrix scenario with ``check_races`` enabled.
 
-
-def run_scenarios(parallelism: int = 4, check_races: bool = True
-                  ) -> list[ScenarioResult]:
-    """Run every family × matrix scenario with checking enabled.
-
-    Each scenario factorizes and solves under ``check_waves`` (every
-    flush's pending stream verified) and, by default, ``check_races``
-    (vector-clock tracer attached to every world).  Returns per-scenario
-    results; a scenario with findings is a correctness bug in the
-    executor or engine, not in the workload.
+    Each scenario factorizes and solves with a vector-clock tracer on
+    every world.  Returns per-scenario results; a scenario with findings
+    is a correctness bug in the engine or runtime, not in the workload.
     """
     results: list[ScenarioResult] = []
     for solver_cls, options_cls in _families():
         for key in sorted(_MATRICES):
             a = _MATRICES[key]()
             nranks = 2 if key == "sparse" else 1
-            options = options_cls(nranks=nranks, parallelism=parallelism,
-                                  check_waves=True, check_races=check_races)
-            solver = solver_cls(a, options)
-            session = solver.session
-            flushes = 0
-            captured: list = []  # first factor flush: (stream, ctx, cfg)
-            verify = session._flush_hook
-
-            def counting_hook(executor: Any, pending: list,
-                              _verify: Callable[..., None] | None = verify,
-                              _captured: list = captured) -> None:
-                nonlocal flushes
-                flushes += 1
-                if not _captured:
-                    _captured.append((list(pending), executor.context,
-                                      executor.parallelism,
-                                      executor.batching))
-                if _verify is not None:
-                    _verify(executor, pending)
-
-            session._flush_hook = counting_hook
+            solver = solver_cls(a, options_cls(nranks=nranks,
+                                               check_races=True))
             info = solver.factorize()
             rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
             solver.solve(rhs)
-            waves = info.exec_stats.waves if info.exec_stats else 0
-            # Re-verify the stream the warm path would replay: compile
-            # the captured factor flush (fusion) and run the
-            # plan verifier with the executor's own configuration.
-            findings = (list(session.wave_findings)
-                        + list(session.race_findings))
-            plan_calls = 0
-            if captured:
-                from ..plans import compile_stream
-                from .waves import verify_plan
-
-                stream, ctx, par, batching = captured[0]
-                plan = compile_stream(stream)
-                plan_calls = plan.calls
-                findings.extend(verify_plan(plan, ctx, parallelism=par,
-                                            batching=batching))
             results.append(ScenarioResult(
                 family=solver_cls.__name__,
                 matrix=key,
-                flushes_checked=flushes,
-                waves_executed=waves,
-                plan_stream_calls=plan_calls,
-                findings=findings,
+                tasks=info.tasks,
+                findings=list(solver.session.race_findings),
             ))
     return results

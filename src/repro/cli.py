@@ -97,8 +97,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solver = SymPackSolver(a, SolverOptions(
         nranks=args.nranks, ranks_per_node=args.ranks_per_node,
         ordering=args.ordering, machine=_machine(args.machine),
-        offload=offload, parallelism=args.parallelism,
-        check_waves=args.check_waves, check_races=args.check_races,
+        offload=offload, check_races=args.check_races,
         analysis_cache=analysis_cache,
         resilience=resilience))
     try:
@@ -146,13 +145,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               f"{counts['retries']} retries, "
               f"{counts['recoveries']} recoveries, "
               f"{counts['checkpoints']} checkpoints")
-    findings = (list(solver.session.wave_findings)
-                + list(solver.session.race_findings))
-    if args.check_waves or args.check_races:
-        checks = [name for name, on in (("waves", args.check_waves),
-                                        ("races", args.check_races)) if on]
-        print(f"checks ({'+'.join(checks)})   : "
-              f"{len(findings)} finding(s)")
+    findings = list(solver.session.race_findings)
+    if args.check_races:
+        print(f"checks (races)   : {len(findings)} finding(s)")
         for f in findings:
             print(f"  {f}")
     if args.save_factor:
@@ -361,15 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="rng seed of the random right-hand side")
     p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="wave-parallel kernel flush workers (results stay "
-                        "bit-identical to serial; see docs/performance.md)")
     p.add_argument("--save-factor", default=None, metavar="PATH",
                    help="persist the factor (.npz) for later `resolve` runs")
-    p.add_argument("--check-waves", action="store_true",
-                   help="verify every kernel flush for same-wave write "
-                        "conflicts and wave-order inversions (exit 1 on "
-                        "findings; see docs/correctness.md)")
     p.add_argument("--check-races", action="store_true",
                    help="attach the vector-clock happens-before checker to "
                         "the PGAS runtime (flags unfenced rget/rput, "

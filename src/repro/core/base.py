@@ -86,20 +86,12 @@ class CommonOptions:
         model (:func:`repro.machine.frontier` for HIP, etc.).
     keep_timeline:
         Record the full per-task timeline in the trace.
-    parallelism:
-        Worker-thread count of the deferred numeric flush.  ``1``
-        (default) executes kernels serially in submission order; ``> 1``
-        executes each dependency wave's independent kernels on a thread
-        pool with bit-identical results (see ``docs/performance.md``).
     batching:
         ``False`` disables flush batching entirely: every kernel call
         executes one at a time in submission order.  This is the serial
         reference mode the performance benchmarks and determinism tests
-        compare against; results are bit-identical in all three modes.
-    check_waves:
-        Run the wave conflict verifier (:mod:`repro.analysis.waves`) on
-        every kernel flush; findings accumulate on the session's
-        ``wave_findings`` (CLI ``--check-waves``).
+        compare against; results are bit-identical in both modes (see
+        ``docs/performance.md``).
     check_races:
         Attach the PGAS happens-before checker
         (:mod:`repro.analysis.hb`) to every simulated world; findings
@@ -118,9 +110,7 @@ class CommonOptions:
     device_capacity: int | None = None
     device_kind: DeviceKind = DeviceKind.CUDA
     keep_timeline: bool = False
-    parallelism: int = 1
     batching: bool = True
-    check_waves: bool = False
     check_races: bool = False
     # Persistent cold-path cache (repro.symbolic.cache.AnalysisCache):
     # when set, the solver looks up its full symbolic analysis by
@@ -144,9 +134,6 @@ class CommonOptions:
         if self.ranks_per_node < 1:
             raise ValueError(
                 f"ranks_per_node must be >= 1, got {self.ranks_per_node}")
-        if self.parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1, got {self.parallelism}")
 
     def resolved_device_capacity(self) -> int | None:
         """Per-process device segment size (the recommended equal split)."""
@@ -425,10 +412,7 @@ class SolverBase:
         counters (the recording run's, which a DES replay would
         reproduce exactly).
         """
-        stats = execute_plan(
-            plan, ctx, parallelism=self.options.parallelism,
-            batching=self.options.batching,
-            flush_hook=self.session._flush_hook)
+        stats = execute_plan(plan, ctx, batching=self.options.batching)
         ctx.end_run()
         comm = CommStats() + plan.comm
         self.session.record_replay(comm)

@@ -76,9 +76,7 @@ class ExecutionSession:
         device_kind: DeviceKind = DeviceKind.CUDA,
         keep_timeline: bool = False,
         trace: ExecutionTrace | None = None,
-        parallelism: int = 1,
         batching: bool = True,
-        check_waves: bool = False,
         check_races: bool = False,
         ledger: MemoryLedger | None = None,
         pool: BufferPool | None = None,
@@ -92,7 +90,6 @@ class ExecutionSession:
         self.scheduling = Scheduling(scheduling)
         self.device_capacity = device_capacity
         self.device_kind = device_kind
-        self.parallelism = parallelism
         self.batching = batching
         # ``trace`` may be shared across sessions (the solve service hands
         # every cached solver one service-wide trace); the trace itself is
@@ -110,15 +107,14 @@ class ExecutionSession:
         self.comm = CommStats()  # accumulated across all runs
         self.runs = 0
         self._stats_lock = mutex()
-        # Concurrency-correctness checking (repro.analysis).  Findings
-        # accumulate across runs; an empty list after a checked run is a
-        # machine-verified pass.  ``_flush_hook`` is overridable (the
-        # mutation self-tests install their own observers).
-        self.check_waves = check_waves
+        # PGAS race checking (repro.analysis.hb).  Findings accumulate
+        # across runs; an empty list after a checked run is a
+        # machine-verified pass.
         self.check_races = check_races
-        self.wave_findings: list = []
         self.race_findings: list = []
-        self._flush_hook = self._verify_flush if check_waves else None
+        # Observer of every kernel flush (the compiled-plan recorder
+        # installs itself here for the duration of a recorded run).
+        self._flush_hook = None
         # Resilience policy (repro.resilience): when set, runs route
         # through the resilient runner — hardened delivery, optional
         # fault injection, checkpoint/restart.  The runner records the
@@ -130,15 +126,6 @@ class ExecutionSession:
         # Compiled-plan replays accounted through record_replay(): runs
         # that executed a frozen kernel stream instead of the DES.
         self.plan_runs = 0
-
-    def _verify_flush(self, executor, pending) -> None:
-        """Default ``check_waves`` observer: verify every flush's stream."""
-        from ..analysis.waves import verify_flush
-
-        self.wave_findings.extend(verify_flush(
-            pending, executor.context,
-            parallelism=executor.parallelism,
-            batching=executor.batching))
 
     @classmethod
     def from_options(cls, options, machine: MachineModel | None = None,
@@ -165,9 +152,7 @@ class ExecutionSession:
             device_kind=options.device_kind,
             keep_timeline=options.keep_timeline,
             trace=trace,
-            parallelism=options.parallelism,
             batching=options.batching,
-            check_waves=getattr(options, "check_waves", False),
             check_races=getattr(options, "check_races", False),
             ledger=ledger,
             pool=pool,
@@ -223,7 +208,6 @@ class ExecutionSession:
         world = self._new_world(tracer=tracer)
         engine = FanOutEngine(world, graph, self.offload,
                               scheduling=self.scheduling, trace=self.trace,
-                              parallelism=self.parallelism,
                               batching=self.batching,
                               flush_hook=self._flush_hook)
         result = engine.run()

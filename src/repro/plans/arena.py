@@ -17,8 +17,7 @@ guarantee pinned in ``tests/memory/``.
 Arena-cached arrays stay ledger-charged (they are retained, not free),
 so live-byte truth is preserved; :meth:`retire` drains everything back
 to the pool when the owning solver closes, returning the ledger to its
-pre-run level.  Thread-safe via :func:`repro.core.tracing.mutex` —
-wave-parallel frontal kernels take and give from pool worker threads.
+pre-run level.  Thread-safe via :func:`repro.core.tracing.mutex`.
 """
 
 from __future__ import annotations

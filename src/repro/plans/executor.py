@@ -2,38 +2,24 @@
 
 No task-graph traversal, no event queue, no simulated RPC — a fresh
 :class:`~repro.kernels.dispatch.KernelExecutor` configured exactly like
-the recording run's (same ``parallelism``/``batching``, same flush
-hook) executes the plan's frozen ``(call, wave)`` stream as one flush.
-Because the DES would re-derive the identical stream, the replay is
-bit-identical to a full DES graph replay by construction (pinned by the
-property suite in ``tests/plans/``).
+the recording run's (same ``batching``) executes the plan's frozen
+``(call, wave)`` stream as one flush.  Because the DES would re-derive
+the identical stream, the replay is bit-identical to a full DES graph
+replay by construction (pinned by the property suite in
+``tests/plans/``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-from ..kernels.dispatch import ExecContext, ExecutorStats, KernelCall, \
-    KernelExecutor
+from ..kernels.dispatch import ExecContext, ExecutorStats, KernelExecutor
 from .plan import NumericPlan
 
 __all__ = ["execute_plan"]
 
 
 def execute_plan(plan: NumericPlan, context: ExecContext, *,
-                 parallelism: int = 1, batching: bool = True,
-                 use_threads: bool | None = None,
-                 flush_hook: Callable[
-                     [Any, list[tuple[KernelCall, int | None]]],
-                     None] | None = None) -> ExecutorStats:
-    """Execute ``plan`` against ``context``; returns the flush counters.
-
-    ``flush_hook`` should be the owning session's hook so that wave
-    checking (and any chained observers) cover the compiled hot path
-    exactly as they cover live flushes.
-    """
-    executor = KernelExecutor(
-        context=context, parallelism=parallelism, batching=batching,
-        use_threads=use_threads, flush_hook=flush_hook)
+                 batching: bool = True) -> ExecutorStats:
+    """Execute ``plan`` against ``context``; returns the flush counters."""
+    executor = KernelExecutor(context=context, batching=batching)
     executor.execute_stream(plan.stream)
     return executor.stats

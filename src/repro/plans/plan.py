@@ -14,13 +14,11 @@ and repeated solves of a seen rhs width.
 numerics: maximal runs of consecutive same-wave, same-target
 ``syrk_sub``/``gemm_sub`` scatter calls collapse into one
 ``multi_update`` group.  The group executes its actions in the original
-submission order (serial path), and on the wave path its queue entries
-carry ``(submission index, intra-group seq)`` keys that sort back into
-exactly the unfused per-buffer apply order — fused members were
-*consecutive*, so no other entry for the same buffer can fall between
-them.  Every unfused entry is the graph task's own ``KernelCall``
-object: the solver keeps its task graph alive, so the plan copies
-nothing.  The property suite in ``tests/plans/`` pins plan-replay ==
+submission order, and fused members were *consecutive*, so no other
+entry for the same buffer can fall between them: the per-buffer apply
+order is exactly the unfused stream's.  Every unfused entry is the
+graph task's own ``KernelCall`` object: the solver keeps its task graph
+alive, so the plan copies nothing.  The property suite in ``tests/plans/`` pins plan-replay ==
 DES-replay bytes for all five solver families.
 """
 
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 from ..kernels.dispatch import KernelCall
 from ..pgas.runtime import CommStats
 
-__all__ = ["NumericPlan", "PlanStats", "compile_plan", "compile_stream"]
+__all__ = ["NumericPlan", "PlanStats", "compile_plan"]
 
 # Ops the compile pass may fuse into multi_update groups.  Their scatter
 # semantics (deferred flat-indexed add) are exactly what a multi_update
@@ -64,12 +62,9 @@ class NumericPlan:
         recorded run computed.
     stream:
         The executable ``(KernelCall, wave)`` stream, post fusion.
-        Waves are the recording engine's DAG depths, so the
-        wave-parallel executor path applies unchanged.
+        Waves are the recording engine's DAG depths.
     calls:
         Calls in the *source* stream (pre-fusion).
-    wave_count:
-        Distinct wave levels in the stream (0 when waves were absent).
     makespan / tasks / rank_busy / comm:
         The recording run's simulated-time results.  The DES is
         deterministic, so a replay through the simulator would reproduce
@@ -85,7 +80,6 @@ class NumericPlan:
     kind: str
     stream: tuple[tuple[KernelCall, int | None], ...]
     calls: int
-    wave_count: int
     makespan: float = 0.0
     tasks: int = 0
     rank_busy: tuple[float, ...] = ()
@@ -113,8 +107,7 @@ def _fuse(raw: list[tuple[KernelCall, int | None]]
     """Collapse consecutive same-wave same-target scatter runs.
 
     Only *adjacent* stream entries fuse, and only within one wave, so
-    the per-buffer apply order and the wave drain schedule are exactly
-    those of the unfused stream.
+    the per-buffer apply order is exactly that of the unfused stream.
     """
     out: list[tuple[KernelCall, int | None]] = []
     groups = 0
@@ -163,7 +156,6 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
         kind=kind,
         stream=stream,
         calls=len(raw),
-        wave_count=len({w for _c, w in stream if w is not None}),
         makespan=makespan,
         tasks=tasks,
         rank_busy=tuple(rank_busy),
@@ -179,9 +171,3 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
         stats.fused_groups += groups
         stats.fused_calls += absorbed
     return plan
-
-
-def compile_stream(raw: list[tuple[KernelCall, int | None]],
-                   kind: str = "stream") -> NumericPlan:
-    """Compile a bare stream with no run metadata (analysis tooling)."""
-    return compile_plan(raw, kind=kind)

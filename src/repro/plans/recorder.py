@@ -6,9 +6,8 @@ session's ``_flush_hook`` before execution.  :class:`StreamRecorder`
 chains onto that hook for the duration of one (or more) runs and
 collects every flushed segment verbatim — the checkpointing runner may
 flush a run in several wave-frontier cuts, so segments concatenate in
-execution order.  Any previously-installed hook (the ``check_waves``
-verifier, mutation-test observers) keeps firing; recording is purely
-additive.
+execution order.  Any previously-installed hook keeps firing; recording
+is purely additive.
 """
 
 from __future__ import annotations

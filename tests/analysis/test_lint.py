@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
+from repro.analysis.effects import HANDLER_WRITE_SPEC
 from repro.analysis.lint import lint_source, lint_tree
+from repro.kernels.dispatch import KERNEL_OPS
 
 
 def rules(text, rel="core/somefile.py"):
@@ -36,11 +38,15 @@ class TestThreadingRule:
         assert rules("import multiprocessing\n") == ["REP102"]
 
     def test_allowlisted_files_clean(self):
-        for rel in ("kernels/dispatch.py", "core/tracing.py",
-                    "service/service.py", "service/spool.py"):
+        for rel in ("core/tracing.py", "service/service.py",
+                    "service/spool.py"):
             findings = lint_source("import threading\n",
                                    f"src/repro/{rel}", rel=rel)
             assert [f.rule for f in findings] == [], rel
+
+    def test_kernel_layer_may_not_spawn_threads(self):
+        assert rules("import concurrent.futures\n",
+                     rel="kernels/dispatch.py") == ["REP102"]
 
     def test_unrelated_import_clean(self):
         assert rules("import itertools\nimport numpy as np\n") == []
@@ -116,6 +122,9 @@ class TestHandlerRule:
         findings = lint_source(text, "dispatch.py", rel=self.REL)
         assert [f.rule for f in findings] == ["REP105"]
         assert "HANDLER_WRITE_SPEC" in findings[0].message
+
+    def test_every_kernel_op_has_write_spec(self):
+        assert set(HANDLER_WRITE_SPEC) == set(KERNEL_OPS)
 
 
 class TestPoolAllocRule:

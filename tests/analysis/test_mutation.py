@@ -12,13 +12,7 @@ from repro.analysis.mutation import (format_reports,
                                      selftest_flow_ownership,
                                      selftest_lint,
                                      selftest_pool_lint, selftest_races,
-                                     selftest_wallclock_lint,
-                                     selftest_waves)
-
-
-@pytest.fixture(scope="module")
-def waves_report():
-    return selftest_waves()
+                                     selftest_wallclock_lint)
 
 
 @pytest.fixture(scope="module")
@@ -29,29 +23,6 @@ def races_report():
 @pytest.fixture(scope="module")
 def lint_report():
     return selftest_lint()
-
-
-class TestWavesSelftest:
-    def test_passes(self, waves_report):
-        assert waves_report.ok, format_reports([waves_report])
-
-    def test_clean_stream_has_no_findings(self, waves_report):
-        assert waves_report.clean_findings == []
-
-    def test_duplicate_write_reported_precisely(self, waves_report):
-        w1 = [f for f in waves_report.injected_findings
-              if f.rule == "WAVE001"]
-        assert w1, "overlapping same-wave write not flagged"
-        f = w1[0]
-        # The report names the aliased panel buffer, both task indices
-        # and the byte extent of the overlap.
-        assert f.details["buffer"][0] == "panel"
-        assert f.details["task_a"] != f.details["task_b"]
-        assert f.details["byte_range"][1] > f.details["byte_range"][0]
-
-    def test_order_inversion_reported(self, waves_report):
-        assert any(f.rule == "WAVE002"
-                   for f in waves_report.injected_findings)
 
 
 class TestRacesSelftest:

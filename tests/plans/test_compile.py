@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.kernels.dispatch import KernelCall
-from repro.plans import PlanStats, compile_plan, compile_stream
+from repro.plans import PlanStats, compile_plan
 
 
 def _syrk(tgt, s, lo=0, sign=-1.0):
@@ -20,7 +20,7 @@ def test_adjacent_same_target_runs_fuse():
     tgt = ("panel", 7)
     raw = [(_syrk(tgt, 0), 2), (_gemm(tgt, 0, 1, lo=4), 2),
            (_syrk(tgt, 1, lo=8), 2)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 1
     assert plan.fused_calls == 3
     assert len(plan.stream) == 1
@@ -37,14 +37,14 @@ def test_adjacent_same_target_runs_fuse():
 def test_wave_boundary_breaks_fusion():
     tgt = ("panel", 7)
     raw = [(_syrk(tgt, 0), 1), (_syrk(tgt, 1), 2)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 0
     assert [c.op for c, _w in plan.stream] == ["syrk_sub", "syrk_sub"]
 
 
 def test_target_change_breaks_fusion():
     raw = [(_syrk(("panel", 7), 0), 1), (_syrk(("panel", 8), 1), 1)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 0
 
 
@@ -53,7 +53,7 @@ def test_intervening_op_breaks_fusion():
     raw = [(_syrk(tgt, 0), 1),
            (KernelCall("trsm_block", (7, 0)), 1),
            (_syrk(tgt, 1), 1)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 0
     assert len(plan.stream) == 3
     # Unfused entries are the recorded calls themselves, never copies.
@@ -61,7 +61,7 @@ def test_intervening_op_breaks_fusion():
 
 
 def test_singleton_run_not_fused():
-    plan = compile_stream([(_syrk(("panel", 7), 0), 1)])
+    plan = compile_plan([(_syrk(("panel", 7), 0), 1)])
     assert plan.fused_groups == 0
     assert plan.stream[0][0].op == "syrk_sub"
 

@@ -82,7 +82,7 @@ def test_plan_replay_bit_identical_to_des(solver_cls, options_cls,
     """Warm plan refactorize + solve == DES graph replay, bit for bit."""
     a = MATRICES[matrix_key]()
     nranks = 2 if matrix_key == "sparse" else 1
-    options = options_cls(nranks=nranks, parallelism=4)
+    options = options_cls(nranks=nranks)
     shifts = (0.3, 0.7)
     des, des_stats = _run(des_oracle(solver_cls), options, a, shifts)
     plan, stats = _run(solver_cls, options, a, shifts)
@@ -133,7 +133,7 @@ def test_cold_run_compiles_three_plans_without_copying_calls():
 def test_multi_rhs_solve_plans_keyed_by_width():
     """Each rhs width compiles its own solve plan pair; both replay."""
     a = MATRICES["grid"]()
-    options = SolverOptions(nranks=1, parallelism=4)
+    options = SolverOptions(nranks=1)
     solver = SymPackSolver(a, options)
     ref = des_oracle(SymPackSolver)(a, options)
     solver.factorize()
@@ -152,7 +152,7 @@ def test_multi_rhs_solve_plans_keyed_by_width():
 def test_close_drops_plans_and_drains_arena():
     """close() retires the plan arena; the ledger returns to zero."""
     a = MATRICES["coalesced"]()
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
+    solver = SymPackSolver(a, SolverOptions(nranks=1))
     solver.factorize()
     solver.update_values(_shifted(a, 0.5))
     solver.factorize()
@@ -166,7 +166,7 @@ def test_close_drops_plans_and_drains_arena():
 def test_session_counts_plan_replays():
     """Plan replays land in the session's run accounting."""
     a = MATRICES["grid"]()
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
+    solver = SymPackSolver(a, SolverOptions(nranks=1))
     solver.factorize()
     assert solver.session.plan_runs == 0
     solver.update_values(_shifted(a, 0.5))

@@ -1,38 +1,21 @@
-"""Bit-identity of the three flush execution modes, across all families.
+"""Bit-identity of the flush execution modes, across all families.
 
-The deferred executor promises that its three modes — serial one-at-a-time
-(``batching=False``), batched submission-order (the default), and
-wave-parallel (``parallelism > 1``) — produce **bit-identical** factors
-and solutions (``np.array_equal``, not ``allclose``).  These tests pin
-that promise for every solver family, plus the threaded wave path (which
-auto-downgrades to inline execution on single-core hosts and must still
-match when forced on).
+The deferred executor promises that serial one-at-a-time execution
+(``batching=False``) and the batched submission-order flush (the default)
+produce **bit-identical** factors and solutions (``np.array_equal``, not
+``allclose``).  These tests pin that promise for every solver family,
+together with the warm compiled-plan replay of the batched solver, which
+executes the same recorded stream without the simulator.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.baselines.pastix_like import PastixLikeSolver, PastixOptions
 from repro.core.solver import SolverOptions, SymPackSolver
 from repro.kernels.dispatch import ExecContext, KernelExecutor
 from repro.sparse import SymmetricCSC, grid_laplacian_2d, random_spd
-from repro.variants import (
-    FanBothOptions,
-    FanBothSolver,
-    FanInOptions,
-    FanInSolver,
-    MultifrontalOptions,
-    MultifrontalSolver,
-)
-
-FAMILIES = [
-    (SymPackSolver, SolverOptions),
-    (FanInSolver, FanInOptions),
-    (FanBothSolver, FanBothOptions),
-    (MultifrontalSolver, MultifrontalOptions),
-    (PastixLikeSolver, PastixOptions),
-]
+from tests.des_oracle import FAMILIES
 
 
 def _coalesced_batch(sizes, seed=0):
@@ -52,9 +35,7 @@ MATRICES = {
 }
 
 
-def _run(solver_cls, options_cls, a, *, parallelism, batching, nranks):
-    solver = solver_cls(a, options_cls(nranks=nranks, parallelism=parallelism,
-                                       batching=batching))
+def _factor_and_solve(solver, a):
     solver.factorize()
     factor = solver.storage.to_sparse_factor().toarray()
     rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
@@ -66,58 +47,27 @@ def _run(solver_cls, options_cls, a, *, parallelism, batching, nranks):
 @pytest.mark.parametrize("solver_cls,options_cls", FAMILIES,
                          ids=lambda v: getattr(v, "__name__", None))
 def test_three_modes_bit_identical(solver_cls, options_cls, matrix_key):
-    """serial == batched == wave-parallel, to the last bit, per family."""
+    """serial == batched == warm plan replay, to the last bit, per family."""
     a = MATRICES[matrix_key]()
     nranks = 2 if matrix_key == "sparse" else 1
-    f_serial, x_serial = _run(solver_cls, options_cls, a,
-                              parallelism=1, batching=False, nranks=nranks)
-    f_batched, x_batched = _run(solver_cls, options_cls, a,
-                                parallelism=1, batching=True, nranks=nranks)
-    f_waves, x_waves = _run(solver_cls, options_cls, a,
-                            parallelism=4, batching=True, nranks=nranks)
+    serial = solver_cls(a, options_cls(nranks=nranks, batching=False))
+    f_serial, x_serial = _factor_and_solve(serial, a)
+    batched = solver_cls(a, options_cls(nranks=nranks))
+    f_batched, x_batched = _factor_and_solve(batched, a)
+    # Second factorize + same-width solve replay the compiled plans
+    # (one factor plan, forward and backward solve plans).
+    f_plan, x_plan = _factor_and_solve(batched, a)
+    assert batched.plan_stats.hits == 3
     assert np.array_equal(f_serial, f_batched)
     assert np.array_equal(x_serial, x_batched)
-    assert np.array_equal(f_serial, f_waves)
-    assert np.array_equal(x_serial, x_waves)
-
-
-def test_wave_path_threaded_matches_inline():
-    """Forcing real worker threads changes nothing, bit for bit."""
-    a = _coalesced_batch([8, 8, 12, 12, 16, 16], seed=5)
-
-    # Run the captured kernel stream through both pool flavours directly.
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
-    captured = []
-    orig = KernelExecutor.flush
-
-    def capture(self):
-        if self._pending and not captured:
-            captured.append((list(self._pending), self))
-        orig(self)
-
-    KernelExecutor.flush = capture
-    try:
-        solver.factorize()
-    finally:
-        KernelExecutor.flush = orig
-    pending, ex = captured[0]
-    storage = ex.context.storage
-
-    results = {}
-    for use_threads in (False, True):
-        storage.reset()
-        ex.context.fresh_run()
-        runner = KernelExecutor(ex.context, parallelism=4,
-                                use_threads=use_threads)
-        runner._flush_waves(pending)
-        results[use_threads] = storage.to_sparse_factor().toarray()
-    assert np.array_equal(results[False], results[True])
+    assert np.array_equal(f_serial, f_plan)
+    assert np.array_equal(x_serial, x_plan)
 
 
 def test_run_one_matches_flush_modes():
-    """One-at-a-time run_one over the stream equals every flush mode."""
+    """One-at-a-time run_one over the stream equals both flush modes."""
     a = _coalesced_batch([8, 10, 12], seed=11)
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
+    solver = SymPackSolver(a, SolverOptions(nranks=1))
     captured = []
     orig = KernelExecutor.flush
 
@@ -141,11 +91,12 @@ def test_run_one_matches_flush_modes():
         runner.run_one(call)
     one_at_a_time = storage.to_sparse_factor().toarray()
 
-    storage.reset()
-    ex.context.fresh_run()
-    KernelExecutor(ex.context, parallelism=4)._flush_waves(pending)
-    waves = storage.to_sparse_factor().toarray()
-    assert np.array_equal(one_at_a_time, waves)
+    for batching in (False, True):
+        storage.reset()
+        ex.context.fresh_run()
+        KernelExecutor(ex.context, batching=batching).execute_stream(pending)
+        flushed = storage.to_sparse_factor().toarray()
+        assert np.array_equal(one_at_a_time, flushed)
 
 
 def test_scratch_array_shape_mismatch_raises():
